@@ -9,7 +9,7 @@ are the policies.  Select one with ``TcpConfig.cc``:
 ``cubic``  RFC 8312 cubic window growth, β = 0.7 loss response.
 ``dctcp``  Canonical RFC 8257 DCTCP (always-on ECN reaction, α₀ = 1).
 ``bbr``    BBRv1 model-based rate control (startup/drain/probe_bw/
-           probe_rtt), paced by the sim timer wheel.
+           probe_rtt), paced by sim engine timers.
 ======== ===========================================================
 
 See docs/transport.md for the mechanism/policy contract and the

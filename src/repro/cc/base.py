@@ -7,7 +7,7 @@ policy.  The split follows the kernel's ``tcp_congestion_ops``: the
 mechanism detects events (ACK progress, duplicate ACKs, SACK news, CE
 echoes, timeouts) and calls the policy's hooks; the policy answers with a
 congestion window (``cwnd``), a slow-start threshold (``ssthresh``) and,
-for rate-based senders, a pacing rate the sender's timer-wheel wakeups
+for rate-based senders, a pacing rate the sender's timer wakeups
 enforce between bursts.
 
 Hook call order on the ACK path (the mechanism guarantees it):

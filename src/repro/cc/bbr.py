@@ -5,7 +5,7 @@ exactly the signal packet reordering forges — BBR builds an explicit model
 of the path: the windowed-max *bottleneck bandwidth* from delivery-rate
 samples (:mod:`repro.cc.rate`) and the windowed-min *round-trip propagation
 time* from the shared RFC 6298 estimator.  The sender paces at
-``pacing_gain × BtlBw`` (enforced by the sender's timer-wheel wakeups
+``pacing_gain × BtlBw`` (enforced by the sender's timer wakeups
 between bursts) and caps inflight at ``cwnd_gain × BDP``.  Duplicate ACKs
 and SACK holes still trigger the mechanism's retransmissions, but the
 *rate* barely moves — which is precisely the property the cc × reordering

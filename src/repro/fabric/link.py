@@ -106,9 +106,10 @@ class QueuedLink:
         (switch output queues have per-queue buffers); overflow tail-drops.
         """
         level = min(packet.priority, len(self._queues) - 1)
+        wire_len = packet.wire_len
         if (
             self.capacity_bytes is not None
-            and self._queue_bytes[level] + packet.wire_len > self.capacity_bytes
+            and self._queue_bytes[level] + wire_len > self.capacity_bytes
         ):
             self.stats.drops += 1
             release_terminal(packet)
@@ -121,8 +122,8 @@ class QueuedLink:
             packet.mark_ce()
             self.stats.ce_marked += 1
         self._queues[level].append(packet)
-        self._queue_bytes[level] += packet.wire_len
-        self._queued_bytes += packet.wire_len
+        self._queue_bytes[level] += wire_len
+        self._queued_bytes += wire_len
         if self._queued_bytes > self.stats.max_queue_bytes:
             self.stats.max_queue_bytes = self._queued_bytes
         if not self._busy:
@@ -137,15 +138,16 @@ class QueuedLink:
             self._busy = False
             return
         self._busy = True
-        self._queue_bytes[level] -= packet.wire_len
-        self._queued_bytes -= packet.wire_len
+        wire_len = packet.wire_len
+        self._queue_bytes[level] -= wire_len
+        self._queued_bytes -= wire_len
         tx_ns = transmit_time_ns(packet.payload_len, self.rate_gbps)
         self.stats.packets += 1
-        self.stats.bytes += packet.wire_len
+        self.stats.bytes += wire_len
         self.stats.busy_ns += tx_ns
         self.stats.per_priority[level] = self.stats.per_priority.get(level, 0) + 1
-        self._engine.schedule(tx_ns, self._tx_done, packet)
+        self._engine.post(tx_ns, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
-        self._engine.schedule(self.prop_delay_ns, self.sink.receive, packet)
+        self._engine.post(self.prop_delay_ns, self.sink.receive, packet)
         self._transmit_next()

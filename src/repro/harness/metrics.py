@@ -107,7 +107,7 @@ class Sampler:
 
     def start(self) -> None:
         """Begin sampling."""
-        self._engine.schedule(self.interval_ns, self._tick)
+        self._engine.post(self.interval_ns, self._tick)
 
     def _tick(self) -> None:
         now = self._engine.now
@@ -117,7 +117,7 @@ class Sampler:
         self.samples.append((now, value))
         if self.into is not None:
             self.into.add(now, value)
-        self._engine.schedule(self.interval_ns, self._tick)
+        self._engine.post(self.interval_ns, self._tick)
 
     def values(self) -> List[float]:
         """Just the sampled values."""

@@ -1,6 +1,6 @@
 """Struct-of-arrays packet batches — one object per NAPI poll, not per packet.
 
-PR 4 took the per-packet cost down with a timer wheel and allocation cuts;
+PR 4 took the per-packet cost down with engine and allocation cuts;
 the next multiple comes from the data layout (ROADMAP item 2).  A
 :class:`PacketBatch` carries a whole poll's worth of wire packets as
 parallel integer columns (``array('q')``, or numpy int64 when

@@ -69,7 +69,7 @@ class BandwidthGuaranteeController:
             return
         self._running = True
         self._last_acked = self._sender.bytes_acked
-        self._engine.schedule(self.update_interval_ns, self._update)
+        self._engine.post(self.update_interval_ns, self._update)
 
     def stop(self) -> None:
         """Halt adaptation; the current ``p`` keeps being applied."""
@@ -98,4 +98,4 @@ class BandwidthGuaranteeController:
         r_measured = self._rate_ewma_gbps / self.line_rate_gbps
         self.p = min(1.0, max(0.0, self.p + self.alpha * (r_target - r_measured)))
         self.trace.append((self._engine.now, self._rate_ewma_gbps, self.p))
-        self._engine.schedule(self.update_interval_ns, self._update)
+        self._engine.post(self.update_interval_ns, self._update)

@@ -3,52 +3,33 @@
 A single :class:`Engine` instance owns simulated time for one experiment.
 Components hold a reference to the engine, schedule callbacks on it, and read
 ``engine.now`` for the current time — exactly the role ``ktime_get()`` and
-timer wheels play for the kernel GRO path the paper modifies.
+hrtimers play for the kernel GRO path the paper modifies.
 
 Internals (the hot loop of every experiment)
 --------------------------------------------
-Pending events live in a two-level structure modelled on the kernel's timer
-wheel: deadlines within :data:`WHEEL_HORIZON_NS` of now go into per-slot
-mini-heaps keyed by ``time >> SLOT_SHIFT`` (a heap of active slot indices
-orders the slots), and far deadlines fall back to one overflow heap.  The
-next runnable event is the (time, seq)-minimum across the front slot and the
-overflow heap, so fire order is *identical* to the single-heap
-implementation this replaced — total order by ``(time, seq)`` with ``seq``
-unique — while pushes land in tiny per-slot heaps instead of one
-ever-growing one.
-
-Cancellation is lazy (a tombstone flag; see
-:class:`~repro.sim.event.EventHandle`), which makes ``Timer`` re-arm churn
-O(1) — but sustained churn against far deadlines would grow residency
-without bound.  A compaction pass triggered by the tombstone/live ratio
-rebuilds the structures with live events only, keeping resident tombstones
-at no more than ``max(live, COMPACT_FLOOR)``.  Fired and compacted events
-are recycled through a bounded free list (generation-counted, so stale
-handles stay safe).
+Pending events live in one ``heapq`` of ``[time, seq, callback, args]``
+lists.  ``seq`` is unique, so comparisons never get past it: events fire in
+``(time, seq)`` order, same-instant ones in scheduling order.  Cancelling
+sets the callback slot to ``None`` and leaves a tombstone that the loop
+drops when it reaches the top; the loop clears the same slot just before
+firing, so a handle to a spent event is inert.  When tombstones outnumber
+both live events and :data:`COMPACT_FLOOR`, a compaction pass drops them in
+place, bounding residency under sustained timer re-arm churn.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.event import Event, EventHandle
+from repro.sim.event import EventHandle
 from repro.trace import runtime as trace_runtime
-
-#: Wheel slot width: ``1 << SLOT_SHIFT`` ns (65.536 µs — a few polling
-#: intervals; link/pacing/GRO deadlines cluster within a handful of slots).
-SLOT_SHIFT = 16
-
-#: Slots covered by the wheel; deadlines beyond ``now + WHEEL_HORIZON_NS``
-#: go to the overflow heap instead.
-WHEEL_HORIZON_SLOTS = 512
-WHEEL_HORIZON_NS = WHEEL_HORIZON_SLOTS << SLOT_SHIFT  # ~33.6 ms
 
 #: Compaction floor: never bother compacting fewer tombstones than this.
 COMPACT_FLOOR = 256
 
-#: Event free-list capacity.
-_POOL_MAX = 1024
+#: Beyond any simulated time (~292 years of nanoseconds).
+_FOREVER = 1 << 63
 
 
 class SimulationError(RuntimeError):
@@ -71,20 +52,12 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0
-        #: Overflow heap: events beyond the wheel horizon at schedule time.
-        self._heap: list[Event] = []
-        #: Wheel: absolute slot index -> mini-heap of events in that slot.
-        self._buckets: dict[int, list[Event]] = {}
-        #: Heap of active slot indices (one entry per live bucket).
-        self._slot_heap: list[int] = []
+        self._heap: list[list] = []  # [time, seq, callback or None, args]
         self._seq = 0
         self._running = False
         self._events_processed = 0
-        self._live = 0
         self._tombstones = 0
         self._compactions = 0
-        self._pool: list[Event] = []
-        self._events_allocated = 0
         tracer = trace_runtime.current()
         if tracer is not None:
             # A new engine restarts simulated time: open a new trace epoch
@@ -103,31 +76,23 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Resident events: live **plus** cancelled tombstones not yet
-        discarded.  Use :attr:`pending_live` for the exact live count."""
-        return self._live + self._tombstones
+        """Resident events: live **plus** tombstones (see :attr:`pending_live`)."""
+        return len(self._heap)
 
     @property
     def pending_live(self) -> int:
         """Events that will actually fire (cancelled ones excluded)."""
-        return self._live
+        return len(self._heap) - self._tombstones
 
     @property
     def tombstones(self) -> int:
-        """Cancelled events still resident (discarded lazily or by
-        compaction); bounded at ``max(pending_live, COMPACT_FLOOR)``."""
+        """Cancelled events still resident; at most ``max(pending_live, COMPACT_FLOOR)``."""
         return self._tombstones
 
     @property
     def compactions(self) -> int:
         """Tombstone-compaction passes run so far."""
         return self._compactions
-
-    @property
-    def events_allocated(self) -> int:
-        """Fresh :class:`Event` allocations (free-list misses) — the
-        allocation-reduction gauge the perf suite tracks."""
-        return self._events_allocated
 
     # -- scheduling -----------------------------------------------------------
 
@@ -139,181 +104,58 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns in the past")
-        return EventHandle(
-            self, self._schedule_event(self._now + delay, callback, args))
+        return EventHandle(self, self._push(self._now + delay, callback, args))
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        return EventHandle(self, self._schedule_event(time, callback, args))
+        return EventHandle(self, self._push(time, callback, args))
 
     def post(self, delay: int, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no cancellation handle.
-
-        The hot path for components that never cancel (link transmit
-        completions, source emission loops) — skips the handle allocation.
-        """
+        """Fire-and-forget :meth:`schedule` for callers that never cancel
+        (link transmits, source loops): no handle is allocated."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}ns in the past")
-        self._schedule_event(self._now + delay, callback, args)
+        heappush(self._heap, [self._now + delay, self._seq, callback, args])
+        self._seq += 1
 
     def post_at(self, time: int, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no cancellation handle."""
-        self._schedule_event(time, callback, args)
+        self._push(time, callback, args)
 
-    def _schedule_event(self, time: int, callback, args: tuple) -> Event:
-        """Allocate (or recycle) an event and file it in wheel or heap."""
+    def _push(self, time: int, callback: Callable[..., Any], args: tuple) -> list:
+        """File ``callback(*args)`` at absolute ``time``; return its entry."""
         if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, self._seq, callback, args)
-            self._events_allocated += 1
+            raise SimulationError(f"cannot schedule at t={time} before now={self._now}")
+        entry = [time, self._seq, callback, args]
         self._seq += 1
-        self._live += 1
-        slot = time >> SLOT_SHIFT
-        if slot - (self._now >> SLOT_SHIFT) < WHEEL_HORIZON_SLOTS:
-            bucket = self._buckets.get(slot)
-            if bucket is None:
-                self._buckets[slot] = [event]
-                heapq.heappush(self._slot_heap, slot)
-            else:
-                heapq.heappush(bucket, event)
-        else:
-            heapq.heappush(self._heap, event)
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    # -- cancellation & recycling ---------------------------------------------
+    # -- cancellation ---------------------------------------------------------
 
-    def _on_cancel(self, event: Event) -> None:
-        """A live resident event became a tombstone (lazy cancellation)."""
-        self._live -= 1
+    def _tombstone(self) -> None:
+        """A resident entry was cancelled; compact if tombstones dominate."""
         self._tombstones += 1
-        if self._tombstones > COMPACT_FLOOR and self._tombstones > self._live:
-            self._compact()
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired/discarded event to the free list."""
-        event.gen += 1  # invalidate any handle still pointing here
-        event.callback = None
-        event.args = ()
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(event)
-
-    def _compact(self) -> None:
-        """Rebuild wheel and heap with live events only.
-
-        Preserves order exactly: membership of wheel vs heap never affects
-        fire order (the pop compares both heads), and heapify restores each
-        structure's invariant over the same live (time, seq) keys.
-        """
-        self._compactions += 1
-        keep = [e for e in self._heap if not e.cancelled]
-        for e in self._heap:
-            if e.cancelled:
-                self._recycle(e)
-        heapq.heapify(keep)
-        self._heap = keep
-        buckets: dict[int, list[Event]] = {}
-        for slot, bucket in self._buckets.items():
-            live = [e for e in bucket if not e.cancelled]
-            for e in bucket:
-                if e.cancelled:
-                    self._recycle(e)
-            if live:
-                heapq.heapify(live)
-                buckets[slot] = live
-        self._buckets = buckets
-        self._slot_heap = list(buckets)
-        heapq.heapify(self._slot_heap)
-        self._tombstones = 0
+        if (self._tombstones > COMPACT_FLOOR
+                and 2 * self._tombstones > len(self._heap)):
+            self._compactions += 1
+            heap = self._heap
+            # In place: a running loop's alias of the heap stays valid.
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
+            self._tombstones = 0
 
     # -- the run loop ---------------------------------------------------------
 
-    def _wheel_head(self) -> Optional[Event]:
-        """Earliest live wheel event (pruning tombstones and spent slots)."""
-        slot_heap = self._slot_heap
-        buckets = self._buckets
-        while slot_heap:
-            bucket = buckets.get(slot_heap[0])
-            while bucket:
-                head = bucket[0]
-                if not head.cancelled:
-                    return head
-                heapq.heappop(bucket)
-                self._tombstones -= 1
-                self._recycle(head)
-            buckets.pop(heapq.heappop(slot_heap), None)
-        return None
-
-    def _heap_head(self) -> Optional[Event]:
-        """Earliest live overflow-heap event (pruning tombstones)."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if not head.cancelled:
-                return head
-            heapq.heappop(heap)
-            self._tombstones -= 1
-            self._recycle(head)
-        return None
-
-    def _pop_runnable(self) -> Optional[Event]:
-        wheel = self._wheel_head()
-        far = self._heap_head()
-        if wheel is None:
-            if far is None:
-                return None
-            return heapq.heappop(self._heap)
-        if far is not None and far < wheel:
-            return heapq.heappop(self._heap)
-        return heapq.heappop(self._buckets[self._slot_heap[0]])
-
-    def _peek_time(self) -> Optional[int]:
-        """Timestamp of the next live event, or None when drained."""
-        wheel = self._wheel_head()
-        far = self._heap_head()
-        if wheel is None:
-            return None if far is None else far.time
-        if far is not None and far < wheel:
-            return far.time
-        return wheel.time
-
     def step(self) -> bool:
         """Run the single next event.  Returns False when none are pending."""
-        event = self._pop_runnable()
-        if event is None:
-            return False
-        self._now = event.time
-        self._live -= 1
-        event.cancelled = True  # one-shot; guards re-entrant cancels
-        event.callback(*event.args)
-        self._events_processed += 1
-        self._recycle(event)
-        return True
+        processed = self._events_processed
+        self._run(_FOREVER, 1)
+        return self._events_processed != processed
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until every live event fired (or ``max_events`` callbacks ran)."""
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run)")
-        self._running = True
-        try:
-            count = 0
-            while self.step():
-                count += 1
-                if max_events is not None and count >= max_events:
-                    return
-        finally:
-            self._running = False
+        self._run(_FOREVER, max_events)
 
     def run_until(self, time: int) -> None:
         """Run all events with timestamp <= ``time``, then advance now to ``time``.
@@ -323,15 +165,32 @@ class Engine:
         """
         if time < self._now:
             raise SimulationError(f"run_until({time}) is before now={self._now}")
+        self._run(time, None)
+        self._now = time
+
+    def _run(self, until: int, limit: Optional[int]) -> None:
+        """Fire due events (time <= ``until``) in order, at most ``limit`` of them."""
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
+        heap = self._heap
+        fired = 0
         try:
-            while True:
-                head = self._peek_time()
-                if head is None or head > time:
+            while heap:
+                entry = heap[0]
+                if entry[0] > until:
                     break
-                self.step()
-            self._now = time
+                heappop(heap)
+                callback = entry[2]
+                if callback is None:
+                    self._tombstones -= 1
+                    continue
+                entry[2] = None  # the fired mark: later cancels are no-ops
+                self._now = entry[0]
+                callback(*entry[3])
+                self._events_processed += 1
+                fired += 1
+                if fired == limit:
+                    break
         finally:
             self._running = False

@@ -7,79 +7,62 @@ event engine: arm it for a deadline, re-arm to move the deadline, cancel it,
 and the callback fires at most once per arming.
 
 Re-arming is the engine's highest-churn operation (the RX queue moves its
-hrtimer after every poll), so the timer tracks its pending event directly —
-generation-checked, like :class:`~repro.sim.event.EventHandle`, but without
-allocating a handle per arm.  Each re-arm leaves one lazily-cancelled
-tombstone behind; the engine's compaction keeps those bounded.
+hrtimer after every poll), so the timer holds its pending heap entry itself
+instead of allocating a handle per arm; each re-arm leaves one tombstone
+that the engine's compaction keeps bounded.
 """
-
-from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine
-from repro.sim.event import Event
 
 
 class Timer:
     """One-shot re-armable timer bound to an engine and a callback."""
 
-    __slots__ = ("_engine", "_callback", "_event", "_gen")
+    __slots__ = ("_engine", "_callback", "_fire_cb", "_entry")
 
     def __init__(self, engine: Engine, callback: Callable[[], Any]):
         self._engine = engine
         self._callback = callback
-        self._event: Optional[Event] = None
-        self._gen = 0
+        self._fire_cb = self._fire  # bound once, filed by every arming
+        self._entry: Optional[list] = None  # the pending heap entry
 
     @property
     def armed(self) -> bool:
         """True if the timer has a pending expiry."""
-        event = self._event
-        return (event is not None and event.gen == self._gen
-                and not event.cancelled)
+        return self._entry is not None
 
     @property
     def expires_at(self) -> Optional[int]:
         """Absolute expiry time, or None when disarmed."""
-        if self.armed:
-            assert self._event is not None
-            return self._event.time
-        return None
+        entry = self._entry
+        return None if entry is None else entry[0]
 
     def arm_at(self, time: int) -> None:
         """(Re-)arm the timer for absolute time ``time``."""
         self.cancel()
-        event = self._engine._schedule_event(time, self._fire, ())
-        self._event = event
-        self._gen = event.gen
+        self._entry = self._engine._push(time, self._fire_cb, ())
 
     def arm_after(self, delay: int) -> None:
         """(Re-)arm the timer ``delay`` ns from now."""
-        self.arm_at(self._engine.now + delay)
+        self.arm_at(self._engine._now + delay)
 
     def arm_if_earlier(self, time: int) -> None:
-        """Arm for ``time`` unless already armed for an earlier deadline.
-
-        This is how Juggler's per-table hrtimer is managed: each buffered
-        packet wants a wake-up at its own timeout; the timer tracks the
-        soonest one.
-        """
-        if self.armed:
-            assert self._event is not None
-            if self._event.time <= time:
-                return
-        self.arm_at(time)
+        """Arm for ``time`` unless already armed for an earlier deadline:
+        Juggler's per-table hrtimer tracks the soonest buffered timeout."""
+        entry = self._entry
+        if entry is None or entry[0] > time:
+            self.arm_at(time)
 
     def cancel(self) -> None:
         """Disarm the timer if pending.  Idempotent."""
-        event = self._event
-        if event is not None:
-            if event.gen == self._gen and not event.cancelled:
-                event.cancelled = True
-                self._engine._on_cancel(event)
-            self._event = None
+        entry = self._entry
+        if entry is not None:
+            self._entry = None
+            entry[2] = None
+            self._engine._tombstone()
 
     def _fire(self) -> None:
-        self._event = None
+        self._entry = None
         self._callback()

@@ -17,7 +17,7 @@ An optional ``priority_fn`` assigns each outgoing packet a network priority;
 the bandwidth-guarantee controller (§2.1) plugs in there.  An optional
 pacing rate reproduces the experiments that "rate limit the total
 throughput" (§5.1.1); rate-based policies (BBR) feed the same pacing loop,
-enforced by timer-wheel wakeups between bursts.
+enforced by engine timer wakeups between bursts.
 """
 
 from __future__ import annotations

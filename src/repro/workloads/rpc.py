@@ -81,7 +81,7 @@ class RpcWorkload:
 
     def start(self) -> None:
         """Schedule the first arrival."""
-        self._engine.schedule(self._next_gap(), self._arrival)
+        self._engine.post(self._next_gap(), self._arrival)
 
     def _next_gap(self) -> int:
         return max(1, round(self._rng.expovariate(1.0 / self.mean_interarrival_ns)))
@@ -98,7 +98,7 @@ class RpcWorkload:
         self._pending[index].append((boundary, now))
         conn.send(self.rpc_bytes)
         self.issued += 1
-        self._engine.schedule(self._next_gap(), self._arrival)
+        self._engine.post(self._next_gap(), self._arrival)
 
     def latencies_ns(self) -> List[int]:
         """Completion times of all finished RPCs."""
@@ -161,7 +161,7 @@ class PingPongRpc:
             completed += 1
         for _ in range(completed):
             if self.gap_ns > 0:
-                self._engine.schedule(self.gap_ns, self._send_next)
+                self._engine.post(self.gap_ns, self._send_next)
             else:
                 self._send_next()
 

@@ -1,0 +1,67 @@
+"""Whole-experiment arbiter: short cells hashed against committed digests.
+
+Each cell runs a reduced experiment end to end (sender, fabric, NIC, GRO,
+TCP) and hashes its simulated outputs.  The digests in
+``tests/golden/digests.json`` were recorded before an engine rewrite, so a
+change that alters any simulated output — a different fire order among
+events due at the same instant, a lost or extra event — fails here even if
+every unit contract still holds.
+
+Regenerate only for a change that is meant to alter simulated outputs::
+
+    PYTHONPATH=src python tests/integration/test_golden_digests.py --write
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+DIGESTS = Path(__file__).resolve().parent.parent / "golden" / "digests.json"
+
+
+def _fig13():
+    from repro.experiments.fig13_ofo_timeout_throughput import (
+        Fig13Params, run_cell)
+
+    return run_cell(Fig13Params(warmup_ms=4, measure_ms=6),
+                    reorder_us=500, ofo_us=200)
+
+
+def _host_vs_fabric(gro):
+    from repro.experiments.host_vs_fabric import HostFabricParams, run_point
+
+    return run_point(HostFabricParams(warmup_ms=2, measure_ms=6),
+                     engine=gro, routing="per_packet", load=2, fault=0)
+
+
+#: Cell name -> zero-argument runner returning the cell's result dataclass.
+CELLS = {
+    "fig13_tau500_ofo200": _fig13,
+    "host_vs_fabric_juggler_per_packet": lambda: _host_vs_fabric("juggler"),
+    "host_vs_fabric_standard_per_packet": lambda: _host_vs_fabric("standard"),
+}
+
+
+def digest(result) -> str:
+    """sha256 of the result's fields as canonical JSON."""
+    blob = json.dumps(dataclasses.asdict(result), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_cell_outputs_match_committed_digest(name):
+    expected = json.loads(DIGESTS.read_text())
+    assert digest(CELLS[name]()) == expected[name]
+
+
+if __name__ == "__main__":
+    digests = {name: digest(run()) for name, run in sorted(CELLS.items())}
+    text = json.dumps(digests, indent=2, sort_keys=True) + "\n"
+    if "--write" in sys.argv[1:]:
+        DIGESTS.parent.mkdir(exist_ok=True)
+        DIGESTS.write_text(text)
+    print(text, end="")
