@@ -15,9 +15,7 @@ from typing import Callable, Optional
 from repro.core.flush import FlushReason
 from repro.core.stats import GroStats
 from repro.cpu.accounting import GroCpuAccountant, NullAccountant
-from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
-from repro.net.pool import PacketPool
 from repro.net.segment import Segment
 from repro.trace import runtime as trace_runtime
 from repro.trace.tracer import Tracer
@@ -41,16 +39,6 @@ class GroEngine(abc.ABC):
         if self.tracer is not None:
             index = self.tracer.component_index("gro")
             self.stats.bind(self.tracer.metrics, prefix=f"gro{index}")
-        #: Lazily-built pool the columnar paths rehydrate fallback packets
-        #: from (see :meth:`rehydrate_pool`); None until first needed.
-        self._rehydrate_pool: Optional[PacketPool] = None
-
-    def rehydrate_pool(self) -> PacketPool:
-        """The pool native-batch rows are materialized from on fallback."""
-        pool = self._rehydrate_pool
-        if pool is None:
-            pool = self._rehydrate_pool = PacketPool()
-        return pool
 
     def attach_tracer(self, tracer: Optional[Tracer]) -> None:
         """Enable (or disable, with None) tracing on a built engine."""
@@ -67,18 +55,7 @@ class GroEngine(abc.ABC):
         equivalent: the driver's poll loop calling ``napi_gro_receive`` per
         descriptor inside one softirq).  Engines may override this to hoist
         per-packet overhead out of the loop; the default just loops.
-
-        ``packets`` may also be a struct-of-arrays
-        :class:`~repro.net.batch.PacketBatch`; the default rehydrates real
-        packets (from :meth:`rehydrate_pool` for native batches) so engines
-        without a columnar path — e.g. ChainedGRO, which keeps the very
-        packet objects in its linked lists — stay correct unchanged.
         """
-        if isinstance(packets, PacketBatch):
-            if packets.is_native:
-                packets = packets.to_packets(self.rehydrate_pool())
-            else:
-                packets = packets.packets
         for packet in packets:
             self.receive(packet, now)
 

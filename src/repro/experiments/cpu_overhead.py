@@ -33,7 +33,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
-from repro.net.pool import PacketPool
 from repro.workloads.background import DiscardSink, PoissonPacketSource
 
 
@@ -132,8 +131,7 @@ def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
     # Background load on the sending ToR's uplinks, routed to a discard
     # host under the receiving ToR (its own downlink, so it does not queue
     # behind the measured flows at the receiver's port).
-    bg_pool = PacketPool()
-    discard = DiscardSink(bg_pool)
+    discard = DiscardSink()
     from repro.fabric.link import QueuedLink
 
     bg_dst = sink_host.host_id + 1_000_000  # synthetic id, never a real host
@@ -150,7 +148,6 @@ def run_scenario(params: CpuOverheadParams) -> CpuOverheadResult:
         load_gbps=params.background_gbps,
         src=99,
         dst=sink_host.host_id + 1_000_000,
-        pool=bg_pool,
     )
     background.start()
 

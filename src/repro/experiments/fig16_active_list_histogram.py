@@ -31,7 +31,6 @@ from repro.sim.rng import RngRegistry
 from repro.sim.time import MS, US
 from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection
-from repro.net.pool import PacketPool
 from repro.workloads.background import DiscardSink, PoissonPacketSource
 
 
@@ -107,8 +106,7 @@ def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
         engine.schedule(start_rng.randrange(burst_period_ns),
                         conn.send, 1 << 40)
 
-    bg_pool = PacketPool()
-    discard = DiscardSink(bg_pool)
+    discard = DiscardSink()
     bg_dst = sink_host.host_id + 1_000_000
     net.tors[1].add_route(
         bg_dst, QueuedLink(engine, params.fabric_gbps, discard, name="bg"))
@@ -116,7 +114,7 @@ def run_panel(params: Fig16Params, receiver_port_gbps: float) -> Fig16Point:
         spine.add_route(bg_dst, net.downlinks[s][1])
     background = PoissonPacketSource(
         engine, rngs.stream("background"), net.tors[0],
-        load_gbps=params.background_gbps, src=99, dst=bg_dst, pool=bg_pool)
+        load_gbps=params.background_gbps, src=99, dst=bg_dst)
     background.start()
 
     gro = receiver.gro_engines[0]

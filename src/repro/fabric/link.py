@@ -16,7 +16,6 @@ from typing import Deque, List, Optional, Protocol
 
 from repro.net.constants import transmit_time_ns
 from repro.net.packet import Packet
-from repro.net.pool import release_terminal
 from repro.sim.engine import Engine
 
 
@@ -112,7 +111,6 @@ class QueuedLink:
             and self._queue_bytes[level] + wire_len > self.capacity_bytes
         ):
             self.stats.drops += 1
-            release_terminal(packet)
             return
         if (
             self.ecn_threshold_bytes is not None

@@ -12,8 +12,7 @@ Determinism: every random decision comes from the injector's own
 ``random.Random`` (a named ``sim.rng`` stream when driven by the
 :class:`~repro.faults.controller.FaultEngine`), and decisions are made in
 packet-arrival order — which the event engine pins.  Dropped packets are
-recycled through :func:`repro.net.pool.release_terminal`, keeping the
-packet-pool balance exact under chaos.
+counted in :attr:`~FaultInjector.dropped` and simply let go.
 
 :class:`LossInjector` doubles as the repo's only uniform-loss element: it
 is what Figure 14's "drop 0.1% of the packets uniformly at random" testbed
@@ -28,7 +27,6 @@ import random
 from typing import Optional, Protocol
 
 from repro.net.packet import Packet
-from repro.net.pool import pooled_or_new, release_terminal
 from repro.sim.engine import Engine
 
 
@@ -96,7 +94,6 @@ class LossInjector(FaultInjector):
             return
         if self.p > 0.0 and self._rng.random() < self.p:
             self.dropped += 1
-            release_terminal(packet)
             return
         self.passed += 1
         self.sink.receive(packet)
@@ -144,7 +141,6 @@ class BurstLossInjector(FaultInjector):
         p_loss = self.p_loss_bad if self.in_bad_state else self.p_loss_good
         if p_loss > 0.0 and rng.random() < p_loss:
             self.dropped += 1
-            release_terminal(packet)
             return
         self.passed += 1
         self.sink.receive(packet)
@@ -154,7 +150,7 @@ class DuplicateInjector(FaultInjector):
     """Forward every packet; with probability ``p`` forward a copy too.
 
     The copy is a distinct wire packet (fresh ``pid``) carrying identical
-    header state, allocated from the original's pool when it has one — the
+    header state, damage (``corrupt``) and ECN feedback (``ce_bytes``) — the
     same mechanics as a fabric retransmitting a frame it already delivered.
     """
 
@@ -175,14 +171,16 @@ class DuplicateInjector(FaultInjector):
         self.passed += 1
         dup = None
         if self.p > 0.0 and self._rng.random() < self.p:
-            dup = pooled_or_new(
-                packet.origin, packet.flow, packet.seq, packet.payload_len,
+            dup = Packet(
+                packet.flow, packet.seq, packet.payload_len,
                 flags=packet.flags, ack=packet.ack, options=packet.options,
                 ce=packet.ce, priority=packet.priority, tso_id=packet.tso_id,
                 sent_at=packet.sent_at,
                 is_retransmission=packet.is_retransmission,
                 rwnd=packet.rwnd, sack=packet.sack)
             dup.path_id = packet.path_id
+            dup.corrupt = packet.corrupt
+            dup.ce_bytes = packet.ce_bytes
             self.duplicated += 1
         self.sink.receive(packet)
         if dup is not None:
@@ -266,7 +264,6 @@ class BlackholeInjector(FaultInjector):
             self.sink.receive(packet)
             return
         self.dropped += 1
-        release_terminal(packet)
 
 
 def build_injector(spec, sink: PacketSink, rng: random.Random,

@@ -18,29 +18,20 @@ from repro.fabric.link import PacketSink
 from repro.net.addr import FiveTuple
 from repro.net.constants import MSS, wire_bytes
 from repro.net.packet import Packet
-from repro.net.pool import PacketPool
 from repro.sim.engine import Engine
 
 
 class DiscardSink:
-    """A packet sink that counts and drops (the background's "receiver").
+    """A packet sink that counts and drops (the background's "receiver")."""
 
-    As the terminal consumer of background packets it is the one place
-    allowed to recycle them: pass the :class:`PacketPool` the source
-    allocates from and every discarded packet goes straight back to it.
-    """
-
-    def __init__(self, pool: Optional[PacketPool] = None) -> None:
+    def __init__(self) -> None:
         self.packets = 0
         self.bytes = 0
-        self.pool = pool
 
     def receive(self, packet: Packet) -> None:
-        """Count and discard (recycling into the pool when wired)."""
+        """Count and discard."""
         self.packets += 1
         self.bytes += packet.wire_len
-        if self.pool is not None:
-            self.pool.release(packet)
 
 
 class PoissonPacketSource:
@@ -57,7 +48,6 @@ class PoissonPacketSource:
         dst: int,
         num_flows: int = 32,
         stop_at_ns: Optional[int] = None,
-        pool: Optional[PacketPool] = None,
     ):
         if load_gbps <= 0:
             raise ValueError(f"load must be positive, got {load_gbps}")
@@ -76,8 +66,6 @@ class PoissonPacketSource:
         ]
         self._next_seq: List[int] = [0] * num_flows
         self.packets_sent = 0
-        #: Optional recycling pool shared with the terminal sink.
-        self.pool = pool
 
     def start(self) -> None:
         """Begin emitting."""
@@ -91,17 +79,12 @@ class PoissonPacketSource:
         if self.stop_at_ns is not None and now >= self.stop_at_ns:
             return
         index = self._rng.randrange(len(self._flows))
-        pool = self.pool
-        if pool is not None:
-            packet = pool.acquire(self._flows[index], self._next_seq[index],
-                                  MSS, sent_at=now)
-        else:
-            packet = Packet(
-                self._flows[index],
-                self._next_seq[index],
-                MSS,
-                sent_at=now,
-            )
+        packet = Packet(
+            self._flows[index],
+            self._next_seq[index],
+            MSS,
+            sent_at=now,
+        )
         self._next_seq[index] += MSS
         self._sink.receive(packet)
         self.packets_sent += 1

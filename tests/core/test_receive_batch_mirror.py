@@ -1,15 +1,14 @@
-"""Mirror equivalence: every receive entry point is the same machine.
+"""Mirror equivalence: both receive entry points are the same machine.
 
-The columnar rewrite left ``JugglerGRO`` (and ``StandardGRO``) with one
-reference path (per-packet :meth:`receive`) and batch paths that must
-never drift from it: the plain-list loop, the object-backed
-:class:`PacketBatch` and the native (column-only) batch.  This test
-drives identical golden streams through all four and asserts identical
+``JugglerGRO`` keeps per-packet :meth:`receive` as the executable spec and
+one batch path, :meth:`receive_batch` over the poll's packet list, that
+must never drift from it (``StandardGRO`` inherits the base loop).  This
+test drives identical golden streams through both and asserts identical
 observable state — full stats, flow-table snapshots (per-entry phase,
 sequence state and OOO node summaries), delivered-segment summaries down
 to the per-packet (seq, len) lists, and, when a tracer is attached, the
 complete typed event sequence.  Any divergence is a dual-maintenance bug
-in the fast path.
+in the batch loop.
 """
 
 from __future__ import annotations
@@ -21,15 +20,11 @@ import pytest
 from repro.core.config import JugglerConfig
 from repro.core.juggler import JugglerGRO
 from repro.core.standard_gro import StandardGRO
-from repro.net.batch import PacketBatch
-from repro.net.constants import MSS
 from repro.net.flags import TcpFlags
 from repro.net.packet import Packet
 from repro.perf.workloads import reordered_stream
 from repro.trace.sinks import CallbackSink
 from repro.trace.tracer import Tracer
-
-MODES = ("receive", "obj_list", "obj_batch", "native")
 
 #: Golden (seed, flows, pkts/flow, window) shapes.  96 flows overflows the
 #: default 64-entry table, so admission/eviction runs mid-batch; the
@@ -43,7 +38,8 @@ SHAPES = (
 
 
 def spiced_stream(seed: int, flows: int, pkts: int, window: int):
-    """A reordered stream with every fallback trigger sprinkled in."""
+    """A reordered stream with PSH flags, TCP options, CE marks and pure
+    ACKs sprinkled in."""
     base = reordered_stream(flows, pkts, window=window, seed=seed)
     out = []
     for i, p in enumerate(base):
@@ -74,14 +70,6 @@ def clone(pkts):
             q.mark_ce()
         out.append(q)
     return out
-
-
-def native_batch(chunk) -> PacketBatch:
-    b = PacketBatch()
-    for p in chunk:
-        b.append_wire(p.flow, p.seq, p.payload_len, flags=p.fint, ce=p.ce,
-                      sent_at=p.sent_at, options=p.options)
-    return b.seal()
 
 
 def stats_tuple(g):
@@ -120,7 +108,7 @@ def event_summaries(events):
     return out
 
 
-def drive(engine_factory, stream, mode, *, batch=32, traced=False):
+def drive(engine_factory, stream, batched, *, batch=32, traced=False):
     segs = []
     events = []
     g = engine_factory(segs.append)
@@ -135,15 +123,11 @@ def drive(engine_factory, stream, mode, *, batch=32, traced=False):
     for off in range(0, len(pkts), batch):
         chunk = pkts[off:off + batch]
         now = (off + len(chunk)) * 100
-        if mode == "receive":
+        if batched:
+            g.receive_batch(chunk, now)
+        else:
             for p in chunk:
                 g.receive(p, now)
-        elif mode == "obj_list":
-            g.receive_batch(chunk, now)
-        elif mode == "obj_batch":
-            g.receive_batch(PacketBatch.from_packets(chunk), now)
-        elif mode == "native":
-            g.receive_batch(native_batch(chunk), now)
         g.poll_complete(now)
         g.check_timeouts(now + 51_000 if off % (batch * 4) == 0 else now)
     g.flush_all(now + 1)
@@ -153,40 +137,22 @@ def drive(engine_factory, stream, mode, *, batch=32, traced=False):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"seed{s[0]}")
 @pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
-def test_juggler_four_way_mirror(shape, traced):
+def test_juggler_batch_mirror(shape, traced):
     stream = spiced_stream(*shape)
     factory = lambda sink: JugglerGRO(sink, config=JugglerConfig())
-    reference = drive(factory, stream, "receive", traced=traced)
-    for mode in MODES[1:]:
-        got = drive(factory, stream, mode, traced=traced)
-        assert got[0] == reference[0], f"{mode}: stats diverged"
-        assert got[1] == reference[1], f"{mode}: flow table diverged"
-        assert got[2] == reference[2], f"{mode}: deliveries diverged"
-        assert got[3] == reference[3], f"{mode}: trace events diverged"
+    reference = drive(factory, stream, False, traced=traced)
+    got = drive(factory, stream, True, traced=traced)
+    assert got[0] == reference[0], "stats diverged"
+    assert got[1] == reference[1], "flow table diverged"
+    assert got[2] == reference[2], "deliveries diverged"
+    assert got[3] == reference[3], "trace events diverged"
 
 
-@pytest.mark.parametrize("shape", SHAPES[:2], ids=lambda s: f"seed{s[0]}")
-def test_standard_gro_four_way_mirror(shape):
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"seed{s[0]}")
+def test_standard_gro_batch_mirror(shape):
     stream = spiced_stream(*shape)
     factory = lambda sink: StandardGRO(sink)
-    reference = drive(factory, stream, "receive")
-    for mode in MODES[1:]:
-        got = drive(factory, stream, mode)
-        assert got[0] == reference[0], f"{mode}: stats diverged"
-        assert got[2] == reference[2], f"{mode}: deliveries diverged"
-
-
-def test_columnar_path_actually_runs():
-    """The mirror is vacuous if the native drive silently falls back."""
-    stream = spiced_stream(7, 48, 64, 8)
-    g = JugglerGRO(lambda s: None, config=JugglerConfig())
-    pkts = clone(stream)
-    now = 0
-    for off in range(0, len(pkts), 32):
-        chunk = pkts[off:off + 32]
-        now = (off + len(chunk)) * 100
-        g.receive_batch(native_batch(chunk), now)
-        g.poll_complete(now)
-    g.flush_all(now + 1)
-    assert g.soa_fast_packets > 0
-    assert g.soa_fallback_packets > 0  # BUILD_UP + spiced rows punt
+    reference = drive(factory, stream, False)
+    got = drive(factory, stream, True)
+    assert got[0] == reference[0], "stats diverged"
+    assert got[2] == reference[2], "deliveries diverged"
