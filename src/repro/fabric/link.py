@@ -11,10 +11,10 @@ the bandwidth-guarantee system (Figures 17, 18).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Protocol
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Protocol
 
-from repro.net.constants import transmit_time_ns
+from repro.net.constants import WIRE_OVERHEAD, transmit_time_ns
 from repro.net.packet import Packet
 from repro.sim.engine import Engine
 
@@ -36,8 +36,6 @@ class LinkStats:
     busy_ns: int = 0
     max_queue_bytes: int = 0
     ce_marked: int = 0
-    #: Per-priority packet counts.
-    per_priority: dict = field(default_factory=dict)
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of the window the transmitter was busy."""
@@ -47,7 +45,13 @@ class LinkStats:
 
 
 class QueuedLink:
-    """One transmitter, N strict-priority queues, infinite-or-capped buffer."""
+    """One transmitter, N strict-priority queues, infinite-or-capped buffer.
+
+    Each hop costs two engine events: ``_tx_done`` when serialisation ends,
+    then the delivery to ``sink`` one propagation delay later.  The sink is
+    read when serialisation ends, so swapping ``sink`` at run time (fault
+    insertion) redirects every packet still on the wire or in the queues.
+    """
 
     def __init__(
         self,
@@ -66,7 +70,7 @@ class QueuedLink:
         if priorities < 1:
             raise ValueError(f"need at least one priority level, got {priorities}")
         self._engine = engine
-        self.rate_gbps = rate_gbps
+        self._rate_gbps = rate_gbps
         self.sink = sink
         self.prop_delay_ns = prop_delay_ns
         self.capacity_bytes = capacity_bytes
@@ -75,10 +79,19 @@ class QueuedLink:
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.name = name
         self._queues: List[Deque[Packet]] = [deque() for _ in range(priorities)]
+        self._top_level = priorities - 1
         self._queue_bytes: List[int] = [0] * priorities
+        #: Zero exactly when every queue is empty (wire lengths are positive).
         self._queued_bytes = 0
         self._busy = False
+        #: payload_len -> serialisation ns, each value from transmit_time_ns.
+        self._tx_ns: Dict[int, int] = {}
         self.stats = LinkStats()
+
+    @property
+    def rate_gbps(self) -> float:
+        """Line rate; read-only, since ``_tx_ns`` caches times at this rate."""
+        return self._rate_gbps
 
     @property
     def queued_bytes(self) -> int:
@@ -104,48 +117,66 @@ class QueuedLink:
         ``capacity_bytes`` bounds each priority level's queue separately
         (switch output queues have per-queue buffers); overflow tail-drops.
         """
-        level = min(packet.priority, len(self._queues) - 1)
-        wire_len = packet.wire_len
-        if (
-            self.capacity_bytes is not None
-            and self._queue_bytes[level] + wire_len > self.capacity_bytes
-        ):
+        level = packet.priority
+        if level > self._top_level:
+            level = self._top_level
+        payload_len = packet.payload_len
+        wire_len = payload_len + WIRE_OVERHEAD
+        queue_bytes = self._queue_bytes
+        capacity = self.capacity_bytes
+        if capacity is not None and queue_bytes[level] + wire_len > capacity:
             self.stats.drops += 1
             return
+        threshold = self.ecn_threshold_bytes
         if (
-            self.ecn_threshold_bytes is not None
-            and packet.payload_len > 0
-            and self._queue_bytes[level] > self.ecn_threshold_bytes
+            threshold is not None
+            and payload_len > 0
+            and queue_bytes[level] > threshold
         ):
             packet.mark_ce()
             self.stats.ce_marked += 1
-        self._queues[level].append(packet)
-        self._queue_bytes[level] += wire_len
-        self._queued_bytes += wire_len
-        if self._queued_bytes > self.stats.max_queue_bytes:
-            self.stats.max_queue_bytes = self._queued_bytes
         if not self._busy:
-            self._transmit_next()
-
-    def _transmit_next(self) -> None:
-        for level, queue in enumerate(self._queues):
-            if queue:
-                packet = queue.popleft()
-                break
-        else:
-            self._busy = False
+            # Idle transmitter, so every queue is empty: the packet goes
+            # straight on the wire.  Queueing it first would have raised the
+            # high-water mark to exactly its wire length.
+            if wire_len > self.stats.max_queue_bytes:
+                self.stats.max_queue_bytes = wire_len
+            self._start(packet, payload_len, wire_len)
             return
+        self._queues[level].append(packet)
+        queue_bytes[level] += wire_len
+        queued = self._queued_bytes = self._queued_bytes + wire_len
+        if queued > self.stats.max_queue_bytes:
+            self.stats.max_queue_bytes = queued
+
+    def _start(self, packet: Packet, payload_len: int, wire_len: int) -> None:
+        """Put ``packet`` on the wire; ``_tx_done`` fires when it is out."""
         self._busy = True
-        wire_len = packet.wire_len
-        self._queue_bytes[level] -= wire_len
-        self._queued_bytes -= wire_len
-        tx_ns = transmit_time_ns(packet.payload_len, self.rate_gbps)
-        self.stats.packets += 1
-        self.stats.bytes += wire_len
-        self.stats.busy_ns += tx_ns
-        self.stats.per_priority[level] = self.stats.per_priority.get(level, 0) + 1
+        try:
+            tx_ns = self._tx_ns[payload_len]
+        except KeyError:
+            tx_ns = self._tx_ns[payload_len] = transmit_time_ns(
+                payload_len, self._rate_gbps)
+        stats = self.stats
+        stats.packets += 1
+        stats.bytes += wire_len
+        stats.busy_ns += tx_ns
         self._engine.post(tx_ns, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
+        # Delivery is posted before the next transmission starts, so at a
+        # shared instant it keeps firing first.
         self._engine.post(self.prop_delay_ns, self.sink.receive, packet)
-        self._transmit_next()
+        if not self._queued_bytes:
+            self._busy = False
+            return
+        queues = self._queues
+        level = 0
+        while not queues[level]:
+            level += 1
+        packet = queues[level].popleft()
+        payload_len = packet.payload_len
+        wire_len = payload_len + WIRE_OVERHEAD
+        self._queue_bytes[level] -= wire_len
+        self._queued_bytes -= wire_len
+        self._start(packet, payload_len, wire_len)

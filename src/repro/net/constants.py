@@ -19,6 +19,9 @@ MSS = MTU - HEADER_LEN  # 1460
 #: 8 preamble + 12 inter-frame gap.
 ETHERNET_OVERHEAD = 38
 
+#: Bytes a packet occupies on the wire beyond its TCP payload.
+WIRE_OVERHEAD = HEADER_LEN + ETHERNET_OVERHEAD
+
 #: GRO flushes a merged segment once it reaches this many payload bytes
 #: ("whenever its size exceeds a preconfigured maximum (64KB)", §3.1).
 MAX_GRO_SEGMENT = 65536
@@ -35,7 +38,7 @@ PRIORITY_LOW = 1
 
 def wire_bytes(payload_len: int) -> int:
     """Bytes a packet with ``payload_len`` TCP payload occupies on the wire."""
-    return payload_len + HEADER_LEN + ETHERNET_OVERHEAD
+    return payload_len + WIRE_OVERHEAD
 
 
 def transmit_time_ns(payload_len: int, rate_gbps: float) -> int:

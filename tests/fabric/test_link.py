@@ -152,6 +152,31 @@ def test_max_queue_bytes_high_water_mark():
     assert link.stats.max_queue_bytes == 4 * pkt().wire_len
 
 
+def test_sink_swap_redirects_the_packet_being_serialised():
+    """The sink is read when serialisation ends: a packet already
+    propagating keeps its sink, the one on the wire goes to the new one."""
+    engine = Engine()
+    old, new = Sink(), Sink()
+    link = QueuedLink(engine, 10.0, old, prop_delay_ns=5_000)
+    first, second = pkt(0), pkt(MSS)
+    link.enqueue(first)
+    link.enqueue(second)
+    tx = transmit_time_ns(MSS, 10.0)
+    engine.run_until(tx + 1)  # first propagating, second serialising
+    assert old.packets == [] and new.packets == []
+    link.sink = new
+    engine.run()
+    assert old.packets == [first]
+    assert new.packets == [second]
+
+
+def test_rate_is_read_only():
+    # Serialisation times are cached per link at its construction rate.
+    link = QueuedLink(Engine(), 10.0, Sink())
+    with pytest.raises(AttributeError):
+        link.rate_gbps = 40.0
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         QueuedLink(Engine(), 0, Sink())
