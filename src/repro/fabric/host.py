@@ -38,6 +38,9 @@ class Host:
         self.name = name if name is not None else f"host{host_id}"
         self.nic = Nic(engine, self.deliver, gro_factory, nic_config,
                        name=self.name, steering=steering)
+        # Per-wire-packet entry, pinned as an instance attribute: the wire
+        # calls the NIC directly, one Python call fewer per packet.
+        self.receive = self.nic.receive  # type: ignore[method-assign]
         #: Where transmitted packets go (the access link); set by the topology.
         self.tx: Optional[PacketSink] = None
         #: Application-core model; endpoints use it when present.
@@ -65,7 +68,10 @@ class Host:
     # -- data path --------------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        """Entry from the wire — straight into the NIC."""
+        """Entry from the wire — straight into the NIC.
+
+        Shadowed per instance by ``nic.receive`` (see ``__init__``).
+        """
         self.nic.receive(packet)
 
     def deliver(self, segment: Segment) -> None:

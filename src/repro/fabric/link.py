@@ -51,6 +51,10 @@ class QueuedLink:
     then the delivery to ``sink`` one propagation delay later.  The sink is
     read when serialisation ends, so swapping ``sink`` at run time (fault
     insertion) redirects every packet still on the wire or in the queues.
+
+    ``engine.post``, ``_tx_done`` and ``sink.receive`` are bound once, at
+    construction and on every ``sink`` assignment, so a hop looks none of
+    them up again.
     """
 
     def __init__(
@@ -70,6 +74,8 @@ class QueuedLink:
         if priorities < 1:
             raise ValueError(f"need at least one priority level, got {priorities}")
         self._engine = engine
+        self._post = engine.post
+        self._tx_done_cb = self._tx_done
         self._rate_gbps = rate_gbps
         self.sink = sink
         self.prop_delay_ns = prop_delay_ns
@@ -92,6 +98,16 @@ class QueuedLink:
     def rate_gbps(self) -> float:
         """Line rate; read-only, since ``_tx_ns`` caches times at this rate."""
         return self._rate_gbps
+
+    @property
+    def sink(self) -> PacketSink:
+        """Where packets go once serialised and propagated."""
+        return self._sink
+
+    @sink.setter
+    def sink(self, sink: PacketSink) -> None:
+        self._sink = sink
+        self._sink_receive = sink.receive
 
     @property
     def queued_bytes(self) -> int:
@@ -161,12 +177,12 @@ class QueuedLink:
         stats.packets += 1
         stats.bytes += wire_len
         stats.busy_ns += tx_ns
-        self._engine.post(tx_ns, self._tx_done, packet)
+        self._post(tx_ns, self._tx_done_cb, packet)
 
     def _tx_done(self, packet: Packet) -> None:
         # Delivery is posted before the next transmission starts, so at a
         # shared instant it keeps firing first.
-        self._engine.post(self.prop_delay_ns, self.sink.receive, packet)
+        self._post(self.prop_delay_ns, self._sink_receive, packet)
         if not self._queued_bytes:
             self._busy = False
             return

@@ -60,12 +60,14 @@ class PerPacketRouting(RoutingPolicy):
 
     def __init__(self, rng: Optional[random.Random] = None):
         #: With an rng, choices are uniform random; without, round-robin.
-        self._rng = rng
+        #: Bound once: every sprayed packet draws through it.
+        self._randrange = rng.randrange if rng is not None else None
         self._counter = 0
 
     def choose(self, packet: Packet, nports: int) -> int:
-        if self._rng is not None:
-            return self._rng.randrange(nports)
+        randrange = self._randrange
+        if randrange is not None:
+            return randrange(nports)
         self._counter = (self._counter + 1) % nports
         return self._counter
 

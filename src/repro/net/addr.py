@@ -22,7 +22,8 @@ class FiveTuple:
     construction (mutating one would corrupt every dict it keys).
     """
 
-    __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_rss")
+    __slots__ = ("src", "dst", "sport", "dport", "proto", "_hash", "_rss",
+                 "_rev")
 
     def __init__(self, src: int, dst: int, sport: int, dport: int,
                  proto: int = 6):
@@ -40,6 +41,8 @@ class FiveTuple:
             h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
             h ^= h >> 29
         self._rss = h
+        #: The opposite direction's key, made on first :meth:`reversed`.
+        self._rev = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -53,8 +56,19 @@ class FiveTuple:
         return NotImplemented
 
     def reversed(self) -> "FiveTuple":
-        """The tuple of the opposite direction (for ACKs)."""
-        return FiveTuple(self.dst, self.src, self.dport, self.sport, self.proto)
+        """The tuple of the opposite direction (for ACKs).
+
+        Memoised and involutive: every call returns the same object, and
+        ``f.reversed().reversed() is f``.  A receiver's ACKs therefore carry
+        the very key its peer sender registered with the host, so the
+        demux dict hits on identity without calling :meth:`__eq__`.
+        """
+        rev = self._rev
+        if rev is None:
+            rev = self._rev = FiveTuple(self.dst, self.src, self.dport,
+                                        self.sport, self.proto)
+            rev._rev = self
+        return rev
 
     def rss_hash(self) -> int:
         """Deterministic flow hash, stand-in for the NIC's Toeplitz hash.

@@ -89,16 +89,15 @@ class Nic:
         self.steering = steering if steering is not None else RssSteering()
         self.steering.bind(self.config.num_queues, engine=engine,
                            tracer=self.tracer, metrics_prefix=prefix)
-        # Per-wire-packet path, pinned as an instance attribute: queue list
-        # and policy lookup are captured once here so receive() pays no
-        # ``self`` attribute hops (benchmarks/test_steer_overhead.py holds
-        # this at parity with the pre-policy inline demux).
-        queues = self.queues
-        steer = self.steering.queue_index
-
-        def receive(packet: Packet) -> None:
-            queues[steer(packet.flow)].enqueue(packet)
-
+        # Per-wire-packet path, pinned as an instance attribute: the policy
+        # supplies the whole demux over our queues, so plain RSS costs one
+        # Python call per packet (benchmarks/test_steer_overhead.py holds
+        # this at parity with the pre-policy inline demux).  It is this
+        # NIC's receive entry, so it carries that method's name and module
+        # (tracebacks and per-layer profiles report it as NIC work).
+        receive = self.steering.demux(self.queues)
+        receive.__module__ = Nic.receive.__module__
+        receive.__qualname__ = Nic.receive.__qualname__
         self.receive = receive  # type: ignore[method-assign]
 
     def queue_for(self, packet: Packet) -> RxQueue:

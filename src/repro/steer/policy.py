@@ -11,18 +11,20 @@ by itself when it migrates a flow between queues), or a pinned static map
 implementation; :mod:`repro.steer.flow_director` and
 :mod:`repro.steer.static` carry the stateful ones.
 
-The cost contract mirrors tracing: when the policy is plain RSS the
-steering layer adds one method call over the pre-policy inline hash and
-allocates nothing per packet (``benchmarks/test_steer_overhead.py`` holds
-that line).  Stateful policies pay only for the state they keep.
+The cost contract mirrors tracing: the policy supplies the NIC's whole
+per-packet demux (:meth:`SteeringPolicy.demux`), so plain RSS costs one
+Python call per packet before the ring, as the pre-policy inline hash
+did, and allocates nothing per packet (``benchmarks/test_steer_overhead.py``
+holds that line).  Stateful policies pay only for the state they keep.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.net.addr import FiveTuple
+from repro.net.packet import Packet
 
 
 class SteeringPolicy(abc.ABC):
@@ -94,6 +96,20 @@ class SteeringPolicy(abc.ABC):
         """Side-effect-free probe of where ``flow`` is steered right now."""
         return self.queue_index(flow)
 
+    def demux(self, queues: Sequence) -> Callable[[Packet], None]:
+        """The NIC's per-wire-packet entry over the bound ``queues``:
+        enqueue each packet on the queue :meth:`queue_index` picks.
+
+        Called once, after :meth:`bind`.  Policies whose lookup is a pure
+        function of the flow key may return a flatter closure.
+        """
+        queue_index = self.queue_index
+
+        def receive(packet: Packet) -> None:
+            queues[queue_index(packet.flow)].enqueue(packet)
+
+        return receive
+
     # -- control plane --------------------------------------------------------
 
     def rebalance(self, migrate_fraction: float = 1.0, *,
@@ -139,3 +155,14 @@ class RssSteering(SteeringPolicy):
         return flow.rss_hash() % self._n
 
     current_queue = queue_index
+
+    def demux(self, queues: Sequence) -> Callable[[Packet], None]:
+        # The hash is inlined and each queue's enqueue bound once: one
+        # closure per packet, no steering call, no method lookup.
+        enqueues = tuple(queue.enqueue for queue in queues)
+
+        def receive(packet: Packet, _enqueues: tuple = enqueues,
+                    _n: int = self._n) -> None:
+            _enqueues[packet.flow._rss % _n](packet)
+
+        return receive

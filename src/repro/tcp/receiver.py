@@ -83,24 +83,30 @@ class TcpReceiver:
     # -- segment arrival (from GRO) -------------------------------------------
 
     def on_segment(self, segment: Segment) -> None:
-        """GRO delivered a segment: charge the app core, then process."""
-        if segment.payload_len == 0:
+        """GRO delivered a segment: charge the app core, then process.
+
+        Without an app core the segment is processed at once and its cost
+        is never priced.
+        """
+        payload_len = segment.payload_len
+        if payload_len == 0:
             return  # stray zero-payload packet; nothing to do
-        self.occupancy += segment.payload_len
+        self.occupancy += payload_len
+        core = self._host.app_core
+        if core is None:
+            self._process(segment)
+            return
+        costs = self.costs
         cost = (
-            self.costs.app_per_segment
-            + self.costs.app_per_byte * segment.payload_len
-            + self.costs.app_per_ack
+            costs.app_per_segment
+            + costs.app_per_byte * payload_len
+            + costs.app_per_ack
         )
         if segment.mode is BatchingMode.LINKED_LIST:
-            cost += self.costs.app_per_chain_element * segment.mtus
+            cost += costs.app_per_chain_element * segment.mtus
         if segment.seq != self.rcv_nxt:
-            cost += self.costs.app_per_ooo_segment
-        core = self._host.app_core
-        if core is not None:
-            core.submit(cost, self._process, segment)
-        else:
-            self._process(segment)
+            cost += costs.app_per_ooo_segment
+        core.submit(cost, self._process, segment)
 
     def _process(self, segment: Segment) -> None:
         """TCP-layer handling, after the app core got to the segment."""

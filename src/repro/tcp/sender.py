@@ -211,12 +211,17 @@ class TcpSender:
         self.acks_received += 1
         if packet.rwnd is not None:
             self.peer_rwnd = packet.rwnd
-        before = self._sacked_bytes()
-        for block in packet.sack:
-            self._merge_sack(block[0], block[1])
-        sacked_now = self._sacked_bytes()
-        new_sack_info = sacked_now > before
-        if packet.sack and packet.sack[0][1] <= self.snd_una:
+        sack = packet.sack
+        if sack:
+            before = self._sacked_bytes()
+            for block in sack:
+                self._merge_sack(block[0], block[1])
+            sacked_now = self._sacked_bytes()
+            new_sack_info = sacked_now > before
+        else:
+            # No blocks, no scoreboard change: nothing new to report.
+            new_sack_info = False
+        if sack and sack[0][1] <= self.snd_una:
             # Leading block below snd_una is a DSACK: our retransmission was
             # unnecessary — the "loss" was reordering.  Widen tolerance.
             self.dsacks_received += 1
@@ -239,7 +244,7 @@ class TcpSender:
             # A DSACK-only ACK (duplicate-data report with no new SACK
             # information) must not feed the fast-retransmit counter — that
             # is what stops spurious retransmissions from snowballing.
-            if new_sack_info or not packet.sack:
+            if new_sack_info or not sack:
                 self._on_dup_ack()
         self._try_send()
 
@@ -253,7 +258,8 @@ class TcpSender:
         self.dup_acks = 0
         self._rto_backoff = 1
         self._sample_rtt(ack)
-        self.sacked = [(s, e) for s, e in self.sacked if e > ack]
+        if self.sacked:
+            self.sacked = [(s, e) for s, e in self.sacked if e > ack]
         if self.high_rexmit < ack:
             self.high_rexmit = ack
         recovery_exit = False

@@ -1,8 +1,11 @@
 """QueuedLink: serialisation, strict priority, capacity, ECN marking."""
 
+import random
+
 import pytest
 
 from repro.fabric import QueuedLink
+from repro.faults.injectors import LossInjector
 from repro.net import FiveTuple, MSS, Packet
 from repro.net.constants import PRIORITY_HIGH, PRIORITY_LOW, transmit_time_ns
 from repro.sim import Engine
@@ -168,6 +171,25 @@ def test_sink_swap_redirects_the_packet_being_serialised():
     engine.run()
     assert old.packets == [first]
     assert new.packets == [second]
+
+
+def test_sink_swap_to_fault_injector_catches_wire_and_queue():
+    """Fault insertion wraps the old sink while one packet is serialising
+    and others wait: every one of them goes through the injector."""
+    engine = Engine()
+    old = Sink()
+    link = QueuedLink(engine, 10.0, old, prop_delay_ns=500)
+    packets = [pkt(i * MSS) for i in range(4)]
+    for p in packets:
+        link.enqueue(p)
+    engine.run_until(transmit_time_ns(MSS, 10.0) // 2)
+    assert link.queued_packets == 3  # the first is on the wire
+    injector = LossInjector(old, random.Random(0), p=0.0)
+    link.sink = injector
+    assert link.sink is injector
+    engine.run()
+    assert injector.passed == 4
+    assert old.packets == packets
 
 
 def test_rate_is_read_only():

@@ -10,6 +10,26 @@ def test_reversed_swaps_endpoints():
     assert rev.reversed() == flow
 
 
+def test_reversed_is_memoised_and_involutive():
+    flow = FiveTuple(1, 2, 1000, 80)
+    rev = flow.reversed()
+    assert flow.reversed() is rev
+    assert rev.reversed() is flow
+    assert flow.reversed().reversed().reversed() is rev
+
+
+def test_memoised_reverse_keeps_equality_and_hash():
+    flow = FiveTuple(1, 2, 1000, 80)
+    rev = flow.reversed()
+    twin = FiveTuple(2, 1, 80, 1000)
+    assert rev == twin and hash(rev) == hash(twin)
+    assert rev.rss_hash() == twin.rss_hash()
+    assert rev != flow
+    # A structurally equal key made elsewhere still finds the entry.
+    assert {rev: "ack"}[twin] == "ack"
+    assert twin.reversed() == flow and twin.reversed() is not flow
+
+
 def test_default_protocol_is_tcp():
     assert FiveTuple(1, 2, 3, 4).proto == 6
 

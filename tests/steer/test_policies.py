@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import FiveTuple
+from repro.net import FiveTuple, MSS, Packet
 from repro.steer import (
     FlowDirectorConfig,
     FlowDirectorSteering,
@@ -106,6 +106,33 @@ def test_rss_matches_raw_hash_modulo():
     policy.bind(5)
     for flow in flows(64):
         assert policy.queue_index(flow) == flow.rss_hash() % 5
+
+
+class _Queue:
+    def __init__(self):
+        self.packets = []
+
+    def enqueue(self, packet):
+        self.packets.append(packet)
+
+
+@pytest.mark.parametrize("build", ALL_POLICIES)
+def test_demux_enqueues_where_a_fresh_twin_steers(build):
+    """A policy's demux (RSS's flattened one included) puts each packet on
+    the queue its ``queue_index`` picks, ticking the same state."""
+    policy, twin = build(), build()
+    policy.bind(5)
+    twin.bind(5)
+    queues = [_Queue() for _ in range(5)]
+    receive = policy.demux(queues)
+    packets = [Packet(flow, i * MSS, MSS)
+               for i in range(3) for flow in flows(64)]
+    want = [[] for _ in range(5)]
+    for packet in packets:
+        receive(packet)
+        want[twin.queue_index(packet.flow)].append(packet)
+    assert [q.packets for q in queues] == want
+    assert policy.counters() == twin.counters()
 
 
 def test_rss_rebalance_is_a_noop():

@@ -84,3 +84,33 @@ def test_connection_close_tears_down():
     engine, pair, conn = transfer()
     conn.close()
     assert not conn.sender._rto_timer.armed
+
+
+class _Tap:
+    """Records every packet on its way to ``sink``."""
+
+    def __init__(self, sink):
+        self.sink = sink
+        self.packets = []
+
+    def receive(self, packet):
+        self.packets.append(packet)
+        self.sink.receive(packet)
+
+
+def test_acks_carry_the_senders_registered_key():
+    # The receiver's ACKs are keyed by the very object the sender registered
+    # with its host, so the host demux matches them by identity.
+    engine = Engine()
+    pair = DirectPair(engine)
+    tap = _Tap(pair.a)
+    pair.link_ba.sink = tap
+    conn = Connection(engine, pair.a, pair.b, 1000, 80, TcpConfig())
+    conn.send(1 << 18)
+    engine.run_until(10 * MS)
+    assert conn.done
+    key = conn.sender.flow.reversed()
+    assert key is conn.receiver.flow.reversed()
+    assert tap.packets
+    assert all(packet.flow is key for packet in tap.packets)
+    assert conn.sender.acks_received == len(tap.packets)

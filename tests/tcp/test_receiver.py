@@ -5,7 +5,7 @@ import pytest
 from tests.tcp.helpers import DirectPair
 
 from repro.cpu import CpuCore
-from repro.net import FiveTuple, MSS, Packet, Segment
+from repro.net import BatchingMode, FiveTuple, MSS, Packet, Segment
 from repro.sim import Engine, MS
 from repro.tcp import TcpConfig, TcpReceiver
 
@@ -141,3 +141,43 @@ def test_close_unregisters():
     engine.run_until(1 * MS)
     pair.b.drain()
     assert pair.b.stray_segments >= 1
+
+
+class _RecordingCore(CpuCore):
+    """A CpuCore that remembers the work of every submission."""
+
+    def __init__(self, engine):
+        super().__init__(engine, "app")
+        self.work = []
+
+    def submit(self, work_ns, callback=None, *args):
+        self.work.append(work_ns)
+        return super().submit(work_ns, callback, *args)
+
+
+def test_app_core_charge_per_segment():
+    engine, pair, receiver, acks = make_receiver()
+    core = pair.b.app_core = _RecordingCore(engine)
+    c = receiver.costs
+    flow = receiver.flow
+
+    receiver.on_segment(seg(flow, 0, 3))  # in order, contiguous
+    drain(engine)
+    receiver.on_segment(seg(flow, 5 * MSS, 2))  # out of order
+    drain(engine)
+    chain = Segment([Packet(flow, 3 * MSS, MSS), Packet(flow, 8 * MSS, MSS)],
+                    BatchingMode.LINKED_LIST)  # in order at its head
+    receiver.on_segment(chain)
+    drain(engine)
+
+    base = c.app_per_segment
+    assert core.work == [
+        base + c.app_per_byte * (3 * MSS) + c.app_per_ack,
+        base + c.app_per_byte * (2 * MSS) + c.app_per_ack
+        + c.app_per_ooo_segment,
+        base + c.app_per_byte * (2 * MSS) + c.app_per_ack
+        + c.app_per_chain_element * 2,
+    ]
+    assert core.jobs_completed == 3
+    assert receiver.segments_received == 3
+    assert receiver.occupancy == 0
